@@ -855,7 +855,6 @@ MonitoringReport run_continuous_monitoring(const MonitoringOptions& options,
   mopts.flight = flight.get();
   mopts.flight_dump_path = options.flight_dump_path;
   mopts.health = health.get();
-  mopts.churn_top_k = options.churn_top_k;
   stream::MonitorLoop monitor{net, bus, executor, mopts};
   monitor.prime();
 

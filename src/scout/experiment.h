@@ -358,10 +358,6 @@ struct MonitoringOptions {
   // >= 0 replaces it. Incident-accuracy legs pin 0 — dropped updates
   // publish no event, so their damage is structurally unattributable.
   double gray_drop_rate = -1.0;
-  // Per-switch churn gauge cardinality cap: only the K busiest switches
-  // get a stream.churn.sw<N> gauge; the rest roll up into
-  // stream.churn.other (tests/test_telemetry.cpp pins conservation).
-  std::size_t churn_top_k = 32;
 };
 
 struct MonitoringReport {

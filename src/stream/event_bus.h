@@ -95,8 +95,9 @@ class EventBus {
     return base_;
   }
 
-  // Lifetime counters for the telemetry bridge: totals survive
-  // compaction, unlike retained()/base() which describe current storage.
+  // Lifetime counters, read by the monitor's metrics snapshot: totals
+  // survive compaction, unlike retained()/base() which describe current
+  // storage.
   // `published` counts every event entering the serial stream (serial
   // publishes + ring ingests + synthesized resyncs); `ingested` and
   // `resyncs_synthesized` break out the ring-fed portions.

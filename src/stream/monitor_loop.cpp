@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <map>
 #include <string>
+#include <string_view>
 
 #include "src/agent/switch_agent.h"
 #include "src/common/logging.h"
@@ -35,7 +37,7 @@ MonitorLoop::MonitorLoop(SimNetwork& net, EventBus& bus,
       executor_(&executor),
       options_(options),
       full_system_(ScoutSystem::Options{CheckMode::kExactBdd,
-                                        options.localizer}) {
+                                        ScoutLocalizer::Options{}}) {
   if (options_.incremental) {
     checker_ = std::make_unique<IncrementalChecker>(
         net, executor.workers(), options_.checker);
@@ -68,71 +70,10 @@ MonitorLoop::~MonitorLoop() {
 void MonitorLoop::register_metrics() {
   telemetry::MetricsRegistry* reg = options_.metrics;
   if (reg == nullptr) return;
-  batches_counter_ = reg->counter("stream.batches");
-  events_counter_ = reg->counter("stream.events_drained");
   wall_latency_ms_ = reg->histogram("stream.wall_latency_ms");
   sim_latency_ms_ = reg->histogram("stream.sim_latency_ms");
   drain_ms_ = reg->histogram("stream.drain_ms");
   batch_events_ = reg->histogram("stream.batch_events");
-  bus_backlog_ = reg->gauge("stream.bus_backlog");
-  bus_cursor_lag_ = reg->gauge("stream.bus_cursor_lag");
-  bus_published_ = reg->counter("stream.bus_published");
-  bus_compactions_ = reg->counter("stream.bus_compactions");
-  bus_compacted_events_ = reg->counter("stream.bus_compacted_events");
-  if (checker_ != nullptr) {
-    initial_builds_ = reg->counter("stream.initial_builds");
-    events_applied_ = reg->counter("stream.events_applied");
-    incremental_updates_ = reg->counter("stream.incremental_updates");
-    full_rebuilds_ = reg->counter("stream.full_rebuilds");
-    epoch_rebuilds_ = reg->counter("stream.epoch_rebuilds");
-    threshold_trips_ = reg->counter("stream.threshold_trips");
-    unsafe_rebuilds_ = reg->counter("stream.unsafe_rebuilds");
-    overflow_resyncs_ = reg->counter("stream.overflow_resyncs");
-    diff_recomputes_ = reg->counter("stream.diff_recomputes");
-    verdicts_reused_ = reg->counter("stream.verdicts_reused");
-    arena_peak_nodes_ = reg->gauge("bdd.arena_peak_nodes");
-    // Per-switch churn series register lazily, top-K per bridge
-    // (update_churn_gauges) — an upfront gauge per switch would make the
-    // exporter's cardinality linear in fabric size.
-    churn_other_gauge_ = reg->gauge("stream.churn.other");
-  } else {
-    resident_switches_ = reg->gauge("bdd.resident_switches");
-  }
-  // Concurrent-publish instrumentation — only when the driver attached a
-  // ring before constructing the monitor (serial-only runs skip the
-  // metric names entirely).
-  if (const MpscRing* ring = bus_->ring()) {
-    bus_ingested_ = reg->counter("stream.bus_ingested");
-    bus_resyncs_synthesized_ = reg->counter("stream.bus_resyncs_synthesized");
-    ring_published_ = reg->counter("stream.ring_published");
-    ring_drained_ = reg->counter("stream.ring_drained");
-    ring_evictions_ = reg->counter("stream.ring_evictions");
-    ring_full_stalls_ = reg->counter("stream.ring_full_stalls");
-    ring_occupancy_ = reg->gauge("stream.ring_occupancy");
-    ring_high_water_ = reg->gauge("stream.ring_high_water");
-    ring_lag_gauges_.reserve(ring->publishers());
-    for (std::size_t p = 0; p < ring->publishers(); ++p) {
-      ring_lag_gauges_.push_back(
-          reg->gauge("stream.ring.lag.pub" + std::to_string(p)));
-    }
-  }
-  // Fault-engine activity. The eviction counter names are read off the
-  // agents at construction time (policies are installed before the
-  // monitor), one series per distinct policy in use.
-  gray_misrenders_counter_ = reg->counter("faults.gray.misrenders");
-  gray_drops_counter_ = reg->counter("faults.gray.drops");
-  const auto agents = net_->agents();
-  eviction_counters_.reserve(agents.size());
-  bridged_evictions_.assign(agents.size(), 0);
-  for (const auto& agent : agents) {
-    eviction_counters_.push_back(reg->counter(
-        "tcam.evictions." +
-        std::string(agent->tcam().eviction_policy_name())));
-  }
-  arena_nodes_ = reg->gauge("bdd.arena_nodes");
-  arena_rollbacks_ = reg->gauge("bdd.arena_rollbacks");
-  unique_load_ = reg->gauge("bdd.unique_load");
-  cache_hit_rate_ = reg->gauge("bdd.cache_hit_rate");
   // Executor queue-wait / task-runtime distributions (wall diagnostics).
   // The registry pointer makes every Executor::run a parallel region on
   // this registry, so an in-flight snapshot()/reset() aborts instead of
@@ -145,161 +86,132 @@ void MonitorLoop::register_metrics() {
   executor_->set_metrics(std::move(exec_metrics));
 }
 
-void MonitorLoop::bridge_counters() {
-  if (options_.metrics == nullptr) return;
+telemetry::MetricsSnapshot MonitorLoop::take_snapshot() const {
+  telemetry::MetricsSnapshot snap = options_.metrics->snapshot();
+  const auto count = [&](std::string_view name, std::uint64_t value) {
+    snap.set_counter(name, value);
+  };
+  const auto level = [&](std::string_view name, double value) {
+    snap.set_gauge(name, value);
+  };
 
-  // Bus lifetime counters (cumulative -> delta-fold).
+  count("stream.batches", batches_);
+  count("stream.events_drained", events_total_);
+
+  // Bus lifetime totals survive compaction; backlog and lag are live.
   const EventBus::Stats bus = bus_->stats();
-  bus_published_.add(bus.published - bridged_bus_.published);
-  bus_compactions_.add(bus.compactions - bridged_bus_.compactions);
-  bus_compacted_events_.add(bus.compacted_events -
-                            bridged_bus_.compacted_events);
-  bus_ingested_.add(bus.ingested - bridged_bus_.ingested);
-  bus_resyncs_synthesized_.add(bus.resyncs_synthesized -
-                               bridged_bus_.resyncs_synthesized);
-  bridged_bus_ = bus;
-  bus_backlog_.set(static_cast<double>(bus_->retained()));
-  bus_cursor_lag_.set(static_cast<double>(bus_->cursor() - cursor_));
+  count("stream.bus_published", bus.published);
+  count("stream.bus_compactions", bus.compactions);
+  count("stream.bus_compacted_events", bus.compacted_events);
+  level("stream.bus_backlog", static_cast<double>(bus_->retained()));
+  level("stream.bus_cursor_lag", static_cast<double>(bus_->cursor() - cursor_));
 
+  // Concurrent-publish series exist only when a ring is attached.
   if (const MpscRing* ring = bus_->ring()) {
+    count("stream.bus_ingested", bus.ingested);
+    count("stream.bus_resyncs_synthesized", bus.resyncs_synthesized);
     const MpscRing::Stats rs = ring->stats();
-    ring_published_.add(rs.published - bridged_ring_.published);
-    ring_drained_.add(rs.drained - bridged_ring_.drained);
-    ring_evictions_.add(rs.evictions - bridged_ring_.evictions);
-    ring_full_stalls_.add(rs.full_stalls - bridged_ring_.full_stalls);
-    bridged_ring_ = rs;
-    ring_occupancy_.set(static_cast<double>(ring->occupancy()));
-    ring_high_water_.set(static_cast<double>(ring->high_water()));
-    // Per-publisher cursor lag: how far each shard's published cursor has
-    // run ahead of its drained cursor (live backlog attributable to that
-    // publisher thread).
-    for (std::size_t p = 0; p < ring_lag_gauges_.size(); ++p) {
-      ring_lag_gauges_[p].set(static_cast<double>(ring->published_cursor(p) -
-                                                  ring->drained_cursor(p)));
+    count("stream.ring_published", rs.published);
+    count("stream.ring_drained", rs.drained);
+    count("stream.ring_evictions", rs.evictions);
+    count("stream.ring_full_stalls", rs.full_stalls);
+    level("stream.ring_occupancy", static_cast<double>(ring->occupancy()));
+    level("stream.ring_high_water", static_cast<double>(ring->high_water()));
+    // Per-publisher backlog: how far each shard's published cursor has run
+    // ahead of its drained cursor.
+    for (std::size_t p = 0; p < ring->publishers(); ++p) {
+      level("stream.ring.lag.pub" + std::to_string(p),
+            static_cast<double>(ring->published_cursor(p) -
+                                ring->drained_cursor(p)));
     }
   }
 
-  // Fault-engine lifetime counters, delta-folded like the other
-  // cumulative sources. Gray counters only move in the serial control
-  // phase (controller pushes); the eviction counter is relaxed-atomic so
-  // reading it here is safe even while pinned publishers are evicting.
-  {
-    std::uint64_t misrenders = 0;
-    std::uint64_t drops = 0;
-    const auto agents = net_->agents();
-    for (std::size_t i = 0; i < agents.size(); ++i) {
-      misrenders += agents[i]->gray_misrenders();
-      drops += agents[i]->gray_drops();
-      if (i < eviction_counters_.size()) {
-        const std::uint64_t ev = agents[i]->tcam().evictions();
-        eviction_counters_[i].add(ev - bridged_evictions_[i]);
-        bridged_evictions_[i] = ev;
-      }
-    }
-    gray_misrenders_counter_.add(misrenders - bridged_gray_misrenders_);
-    gray_drops_counter_.add(drops - bridged_gray_drops_);
-    bridged_gray_misrenders_ = misrenders;
-    bridged_gray_drops_ = drops;
+  // Fault-engine activity. Evictions are summed per policy name, so
+  // distinct policies surface as distinct "tcam.evictions.<policy>" series.
+  std::uint64_t misrenders = 0;
+  std::uint64_t drops = 0;
+  std::map<std::string, std::uint64_t> evictions;
+  for (const auto& agent : net_->agents()) {
+    misrenders += agent->gray_misrenders();
+    drops += agent->gray_drops();
+    evictions["tcam.evictions." +
+              std::string(agent->tcam().eviction_policy_name())] +=
+        agent->tcam().evictions();
   }
+  count("faults.gray.misrenders", misrenders);
+  count("faults.gray.drops", drops);
+  for (const auto& [name, value] : evictions) count(name, value);
 
   if (checker_ != nullptr) {
     const IncrementalChecker::Stats s = checker_->stats();
-    const auto fold = [](telemetry::Counter& counter, std::size_t now,
-                         std::size_t last) {
-      counter.add(static_cast<std::uint64_t>(now - last));
-    };
-    fold(initial_builds_, s.initial_builds, bridged_checker_.initial_builds);
-    fold(events_applied_, s.events_applied, bridged_checker_.events_applied);
-    fold(incremental_updates_, s.incremental_updates,
-         bridged_checker_.incremental_updates);
-    fold(full_rebuilds_, s.full_rebuilds, bridged_checker_.full_rebuilds);
-    fold(epoch_rebuilds_, s.epoch_rebuilds, bridged_checker_.epoch_rebuilds);
-    fold(threshold_trips_, s.threshold_trips,
-         bridged_checker_.threshold_trips);
-    fold(unsafe_rebuilds_, s.unsafe_rebuilds,
-         bridged_checker_.unsafe_rebuilds);
-    fold(overflow_resyncs_, s.overflow_resyncs,
-         bridged_checker_.overflow_resyncs);
-    fold(diff_recomputes_, s.diff_recomputes,
-         bridged_checker_.diff_recomputes);
-    fold(verdicts_reused_, s.verdicts_reused,
-         bridged_checker_.verdicts_reused);
-    bridged_checker_ = s;
+    count("stream.initial_builds", s.initial_builds);
+    count("stream.events_applied", s.events_applied);
+    count("stream.incremental_updates", s.incremental_updates);
+    count("stream.full_rebuilds", s.full_rebuilds);
+    count("stream.epoch_rebuilds", s.epoch_rebuilds);
+    count("stream.threshold_trips", s.threshold_trips);
+    count("stream.unsafe_rebuilds", s.unsafe_rebuilds);
+    count("stream.overflow_resyncs", s.overflow_resyncs);
+    count("stream.diff_recomputes", s.diff_recomputes);
+    count("stream.verdicts_reused", s.verdicts_reused);
 
-    // Resident arena sizes across the per-switch managers. Node/rollback
-    // totals are deterministic in incremental mode (one arena per switch,
-    // driven only by the event stream).
+    // Resident arena sizes across the per-switch managers (deterministic
+    // in incremental mode: one arena per switch, driven by the events).
     const BddManager::Stats arena = checker_->arena_totals();
-    arena_nodes_.set(static_cast<double>(arena.nodes));
-    arena_peak_nodes_.set(static_cast<double>(arena.peak_nodes));
-    arena_rollbacks_.set(static_cast<double>(arena.rollbacks));
-    unique_load_.set(arena.unique_load);
-    cache_hit_rate_.set(arena.cache_lookups == 0
-                            ? 0.0
-                            : static_cast<double>(arena.cache_hits) /
-                                  static_cast<double>(arena.cache_lookups));
+    level("bdd.arena_nodes", static_cast<double>(arena.nodes));
+    level("bdd.arena_peak_nodes", static_cast<double>(arena.peak_nodes));
+    level("bdd.arena_rollbacks", static_cast<double>(arena.rollbacks));
+    level("bdd.unique_load", arena.unique_load);
+    level("bdd.cache_hit_rate",
+          arena.cache_lookups == 0
+              ? 0.0
+              : static_cast<double>(arena.cache_hits) /
+                    static_cast<double>(arena.cache_lookups));
 
-    // Live per-switch churn: the signal a churn-tiered monitor would
-    // classify switches on (see ROADMAP).
-    update_churn_gauges();
-  } else if (full_cache_ != nullptr) {
+    // Live per-switch churn, top-K by churn (ties by switch id) so the
+    // exporter's cardinality stays O(K); the rest rolls up into "other".
+    auto churn = checker_->churn_by_switch();
+    const std::size_t k = std::min(kChurnTopK, churn.size());
+    std::partial_sort(churn.begin(), churn.begin() + k, churn.end(),
+                      [](const auto& a, const auto& b) {
+                        if (a.second != b.second) return a.second > b.second;
+                        return a.first.value() < b.first.value();
+                      });
+    double other = 0;
+    for (std::size_t i = 0; i < churn.size(); ++i) {
+      const auto& [sw, value] = churn[i];
+      if (i < k) {
+        level("stream.churn.sw" + std::to_string(sw.value()),
+              static_cast<double>(value));
+      } else {
+        other += static_cast<double>(value);
+      }
+    }
+    level("stream.churn.other", other);
+  } else {
     const LogicalBddCache::Stats s = full_cache_->stats();
-    arena_nodes_.set(static_cast<double>(s.nodes));
-    unique_load_.set(s.unique_load);
-    cache_hit_rate_.set(s.cache_hit_rate);
-    arena_rollbacks_.set(static_cast<double>(s.rollbacks));
-    resident_switches_.set(static_cast<double>(s.resident_switches));
+    level("bdd.arena_nodes", static_cast<double>(s.nodes));
+    level("bdd.arena_rollbacks", static_cast<double>(s.rollbacks));
+    level("bdd.unique_load", s.unique_load);
+    level("bdd.cache_hit_rate", s.cache_hit_rate);
+    level("bdd.resident_switches", static_cast<double>(s.resident_switches));
   }
-
-  // The health engine reads lifetime-cumulative totals — the bridged_*
-  // copies were just refreshed above, so this observes the same instant
-  // the registry does.
-  if (options_.health != nullptr) {
-    telemetry::HealthEngine::Sample hs;
-    hs.events = events_total_;
-    hs.events_over_budget = events_over_budget_;
-    hs.batches = batches_;
-    hs.full_rebuilds = bridged_checker_.full_rebuilds;
-    hs.ring_published = bridged_ring_.published;
-    hs.ring_evictions = bridged_ring_.evictions;
-    hs.ring_full_stalls = bridged_ring_.full_stalls;
-    options_.health->observe(hs);
-  }
+  return snap;
 }
 
-void MonitorLoop::update_churn_gauges() {
-  const auto churn = checker_->churn_by_switch();
-  const std::size_t k = std::min(options_.churn_top_k, churn.size());
-  // Deterministic top-K: highest churn first, ties broken by switch id.
-  std::vector<std::size_t> order(churn.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::partial_sort(order.begin(), order.begin() + k, order.end(),
-                    [&](std::size_t a, std::size_t b) {
-                      if (churn[a].second != churn[b].second) {
-                        return churn[a].second > churn[b].second;
-                      }
-                      return churn[a].first.value() < churn[b].first.value();
-                    });
-  double other = 0;
-  for (std::size_t i = k; i < order.size(); ++i) {
-    other += static_cast<double>(churn[order[i]].second);
+void MonitorLoop::observe_health() {
+  telemetry::HealthEngine::Sample hs;
+  hs.events = events_total_;
+  hs.events_over_budget = events_over_budget_;
+  hs.batches = batches_;
+  hs.full_rebuilds = checker_stats().full_rebuilds;
+  if (const MpscRing* ring = bus_->ring()) {
+    const MpscRing::Stats rs = ring->stats();
+    hs.ring_published = rs.published;
+    hs.ring_evictions = rs.evictions;
+    hs.ring_full_stalls = rs.full_stalls;
   }
-  // Zero every registered series first so a switch that dropped out of
-  // the top set reads 0 instead of its stale last value.
-  for (auto& [sw, gauge] : churn_gauges_by_sw_) gauge.set(0.0);
-  for (std::size_t i = 0; i < k; ++i) {
-    const auto& [sw, value] = churn[order[i]];
-    auto it = churn_gauges_by_sw_.find(sw.value());
-    if (it == churn_gauges_by_sw_.end()) {
-      it = churn_gauges_by_sw_
-               .emplace(sw.value(),
-                        options_.metrics->gauge(
-                            "stream.churn.sw" + std::to_string(sw.value())))
-               .first;
-    }
-    it->second.set(static_cast<double>(value));
-  }
-  churn_other_gauge_.set(other);
+  options_.health->observe(hs);
 }
 
 std::size_t MonitorLoop::ingest_ring_events() {
@@ -321,7 +233,7 @@ void MonitorLoop::prime() {
   for (const EventBus::ReaderId r : readers_) {
     bus_->advance_reader(r, cursor_);
   }
-  if (options_.compact_bus) bus_->compact(cursor_);
+  bus_->compact(cursor_);
   if (!options_.incremental) return;
   const std::uint64_t epoch = net_->controller().compiled_epoch();
   checker_->stage({});
@@ -387,8 +299,6 @@ MonitorVerdict MonitorLoop::drain() {
   events_total_ += events.size();
   drain_ms_.record(0, verdict.drain_ms);
   batch_events_.record(0, static_cast<double>(events.size()));
-  events_counter_.add(static_cast<std::uint64_t>(events.size()));
-  batches_counter_.add(1);
 
   // Observability layers — all strictly after the verdict is composed, so
   // none of them can perturb it (digest bit-identity with these on vs off
@@ -408,13 +318,13 @@ MonitorVerdict MonitorLoop::drain() {
   for (const EventBus::ReaderId r : readers_) {
     bus_->advance_reader(r, cursor_);
   }
-  if (options_.compact_bus) bus_->compact(cursor_);  // span dies here
-  bridge_counters();
+  bus_->compact(cursor_);  // span dies here
+  if (options_.health != nullptr) observe_health();
   drain_span.set_sim_end(sim_now);
 
   if (options_.snapshot_every_batches > 0 && options_.metrics != nullptr &&
       batches_ % options_.snapshot_every_batches == 0) {
-    periodic_snapshots_.push_back(options_.metrics->snapshot());
+    periodic_snapshots_.push_back(take_snapshot());
     if (options_.trace != nullptr) {
       options_.trace->instant(0, "metrics_snapshot", "telemetry", sim_now);
     }
@@ -488,7 +398,7 @@ LocalizationResult MonitorLoop::localize_impl(const FabricCheck& check) const {
   }
   RiskModel model = RiskModel::build_controller_model(*policy_index_);
   model.augment(check.missing_rules);
-  const ScoutLocalizer localizer{options_.localizer};
+  const ScoutLocalizer localizer{full_system_.options().localizer};
   return localizer.localize(model, net_->controller().change_log(),
                             net_->clock().now());
 }
@@ -530,8 +440,7 @@ IncrementalChecker::Stats MonitorLoop::checker_stats() const {
 telemetry::MetricsSnapshot MonitorLoop::snapshot_metrics() {
   SerialGuard g{serial_};
   if (options_.metrics == nullptr) return telemetry::MetricsSnapshot{};
-  bridge_counters();
-  return options_.metrics->snapshot();
+  return take_snapshot();
 }
 
 }  // namespace scout::stream

@@ -20,14 +20,17 @@
 // nothing any shard's reader has not passed, so sharded cursor lag can
 // never unmap an event a worker might still read.
 //
-// Telemetry: when Options carries a MetricsRegistry the loop records
-// event-to-detection latency in *both* clocks — wall (publish steady_clock
-// stamp -> verdict wall time) and sim (event SimTime -> network clock at
-// the verdict) — plus drain/batch histograms, and bridges the checker,
-// bus and arena counters into "stream." / "bdd." metrics at each drain.
-// A TraceRecorder adds prime/drain/shard/localize/remediate spans (lane 0
-// = driver, lane w+1 = worker w). Both pointers are optional; a null
-// registry/recorder makes every telemetry call a no-op.
+// Telemetry: when Options carries a MetricsRegistry the loop records, as
+// it happens, event-to-detection latency in *both* clocks — wall (publish
+// steady_clock stamp -> verdict wall time) and sim (event SimTime ->
+// network clock at the verdict) — plus drain/batch histograms. Everything
+// another object already counts (checker, bus, ring, agents, BDD arenas,
+// per-switch churn) is read from that object when a snapshot is taken and
+// written into the snapshot as "stream." / "bdd." / "faults." / "tcam."
+// series; the loop keeps no copy of it. A TraceRecorder adds
+// prime/drain/shard/localize/remediate spans (lane 0 = driver, lane w+1 =
+// worker w). Both pointers are optional; a null registry/recorder makes
+// every telemetry call a no-op.
 //
 // Confirmed suspects hand off to the existing localization pipeline via
 // localize(): controller risk model, augmented with the verdict's missing
@@ -37,7 +40,6 @@
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/checker/logical_bdd_cache.h"
@@ -76,9 +78,6 @@ class MonitorLoop {
   struct Options {
     bool incremental = true;
     IncrementalChecker::Options checker{};
-    // Localizer knobs for localize() (stage-2 recency window etc.).
-    ScoutLocalizer::Options localizer{};
-    bool compact_bus = true;  // drop drained events from the bus
 
     // Telemetry sinks, both optional. The registry needs at least
     // executor.workers() shards; the recorder needs workers()+1 lanes.
@@ -101,14 +100,15 @@ class MonitorLoop {
     // verdict transition dumps the recorder here (first-failure context).
     std::string flight_dump_path{};
     // Health/SLO engine: fed lifetime-cumulative totals (events over the
-    // detection budget, full rebuilds, ring pressure) at every bridge.
+    // detection budget, full rebuilds, ring pressure) after every drain,
+    // whether or not a registry is attached.
     telemetry::HealthEngine* health = nullptr;
-    // Cardinality cap on the live per-switch churn gauges: only the K
-    // highest-churn switches get their own "stream.churn.sw<N>" series
-    // each bridge; the remainder folds into "stream.churn.other". 0
-    // disables per-switch series entirely.
-    std::size_t churn_top_k = 32;
   };
+
+  // Cardinality cap on the live per-switch churn gauges: only the K
+  // highest-churn switches get their own "stream.churn.sw<N>" series; the
+  // remainder folds into "stream.churn.other".
+  static constexpr std::size_t kChurnTopK = 32;
 
   MonitorLoop(SimNetwork& net, EventBus& bus, runtime::Executor& executor);
   MonitorLoop(SimNetwork& net, EventBus& bus, runtime::Executor& executor,
@@ -148,8 +148,8 @@ class MonitorLoop {
   }
   [[nodiscard]] IncrementalChecker::Stats checker_stats() const;
 
-  // Bridge the latest checker/bus/arena values into the registry and
-  // return a merged snapshot (empty when no registry is attached).
+  // The registry's snapshot plus the current checker/bus/ring/agent/arena
+  // values (empty when no registry is attached).
   [[nodiscard]] telemetry::MetricsSnapshot snapshot_metrics();
 
   // Snapshots taken by the snapshot_every_batches cadence.
@@ -162,10 +162,10 @@ class MonitorLoop {
  private:
   std::size_t ingest_ring_events() SCOUT_REQUIRES(serial_);
   void register_metrics() SCOUT_REQUIRES(serial_);
-  // Fold the delta since the last bridge of every polled counter source
-  // (checker stats, bus stats, arena totals) into the registry.
-  void bridge_counters() SCOUT_REQUIRES(serial_);
-  void update_churn_gauges() SCOUT_REQUIRES(serial_);
+  // Registry snapshot with every source-owned series written in.
+  [[nodiscard]] telemetry::MetricsSnapshot take_snapshot() const
+      SCOUT_REQUIRES(serial_);
+  void observe_health() SCOUT_REQUIRES(serial_);
   [[nodiscard]] LocalizationResult localize_impl(const FabricCheck& check)
       const SCOUT_REQUIRES(serial_);
   void observe_incident(const MonitorVerdict& verdict,
@@ -175,7 +175,7 @@ class MonitorLoop {
                      std::span<const StreamEvent> events, SimTime sim_now,
                      bool failing) SCOUT_REQUIRES(serial_);
 
-  // Driver-phase capability: the monitor's cursor/batch/bridge state is
+  // Driver-phase capability: the monitor's cursor/batch state is
   // mutated only between executor runs, by the one thread driving the
   // loop. Workers touch the checker's shards, never these members. Debug
   // builds abort if a second thread enters (common/mutex.h).
@@ -192,69 +192,14 @@ class MonitorLoop {
   ScoutSystem full_system_;                      // full-recheck mode
   std::unique_ptr<LogicalBddCache> full_cache_;
 
-  // Registry handles (no-ops when options_.metrics == nullptr).
-  telemetry::Counter batches_counter_;
-  telemetry::Counter events_counter_;
+  // Registry handles (no-ops when options_.metrics == nullptr): only what
+  // the loop itself records as it happens.
   telemetry::Histogram wall_latency_ms_;
   telemetry::Histogram sim_latency_ms_;
   telemetry::Histogram drain_ms_;
   telemetry::Histogram batch_events_;
-  telemetry::Gauge bus_backlog_;
-  telemetry::Gauge bus_cursor_lag_;
-  // Bridged-counter handles, registered once — bridge_counters() runs per
-  // drain and must not pay name lookups there.
-  telemetry::Counter bus_published_;
-  telemetry::Counter bus_compactions_;
-  telemetry::Counter bus_compacted_events_;
-  telemetry::Counter initial_builds_;
-  telemetry::Counter events_applied_;
-  telemetry::Counter incremental_updates_;
-  telemetry::Counter full_rebuilds_;
-  telemetry::Counter epoch_rebuilds_;
-  telemetry::Counter threshold_trips_;
-  telemetry::Counter unsafe_rebuilds_;
-  telemetry::Counter overflow_resyncs_;
-  telemetry::Counter diff_recomputes_;
-  telemetry::Counter verdicts_reused_;
-  // Concurrent-publish instrumentation, registered only when the bus has a
-  // ring attached at construction time.
-  telemetry::Counter bus_ingested_;
-  telemetry::Counter bus_resyncs_synthesized_;
-  telemetry::Counter ring_published_;
-  telemetry::Counter ring_drained_;
-  telemetry::Counter ring_evictions_;
-  telemetry::Counter ring_full_stalls_;
-  telemetry::Gauge ring_occupancy_;
-  telemetry::Gauge ring_high_water_;
-  std::vector<telemetry::Gauge> ring_lag_gauges_;  // per publisher shard
-  telemetry::Gauge arena_nodes_;
-  telemetry::Gauge arena_peak_nodes_;
-  telemetry::Gauge arena_rollbacks_;
-  telemetry::Gauge unique_load_;
-  telemetry::Gauge cache_hit_rate_;
-  telemetry::Gauge resident_switches_;
-  // Top-K live churn series, registered lazily as switches enter the top
-  // set (keyed by raw switch id); churn_other_ rolls up everything else.
-  // A switch that drops out of the top set has its gauge zeroed, not
-  // unregistered — registry names are interned for the process lifetime.
-  std::unordered_map<std::uint32_t, telemetry::Gauge> churn_gauges_by_sw_;
-  telemetry::Gauge churn_other_gauge_;
-  // Fault-engine activity: gray rendering-layer counters plus one eviction
-  // counter per agent, named "tcam.evictions.<policy>" so distinct
-  // policies surface as distinct series (agents on the same policy fold
-  // into one counter via the registry's name interning).
-  telemetry::Counter gray_misrenders_counter_;
-  telemetry::Counter gray_drops_counter_;
-  std::vector<telemetry::Counter> eviction_counters_;  // agent order
-  // Last bridged values for delta-folding cumulative sources.
-  IncrementalChecker::Stats bridged_checker_ SCOUT_GUARDED_BY(serial_){};
-  EventBus::Stats bridged_bus_ SCOUT_GUARDED_BY(serial_){};
-  MpscRing::Stats bridged_ring_ SCOUT_GUARDED_BY(serial_){};
-  std::uint64_t bridged_gray_misrenders_ SCOUT_GUARDED_BY(serial_) = 0;
-  std::uint64_t bridged_gray_drops_ SCOUT_GUARDED_BY(serial_) = 0;
-  std::vector<std::uint64_t> bridged_evictions_ SCOUT_GUARDED_BY(serial_);
-  // Health-engine inputs: lifetime event totals and the count of events
-  // whose event→verdict wall latency exceeded the detection budget.
+  // Lifetime event totals ("stream.events_drained") and the count of events
+  // whose event→verdict wall latency exceeded the health detection budget.
   std::uint64_t events_total_ SCOUT_GUARDED_BY(serial_) = 0;
   std::uint64_t events_over_budget_ SCOUT_GUARDED_BY(serial_) = 0;
   // Previous verdict state, for clean→failing transition detection

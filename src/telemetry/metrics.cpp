@@ -29,6 +29,32 @@ const LogHistogram* MetricsSnapshot::histogram(
   return nullptr;
 }
 
+namespace {
+
+template <typename Entry, typename Value>
+void upsert_sorted(std::vector<Entry>& entries, std::string_view name,
+                   Value value) {
+  const auto it = std::lower_bound(
+      entries.begin(), entries.end(), name,
+      [](const Entry& e, std::string_view n) { return e.name < n; });
+  if (it != entries.end() && it->name == name) {
+    it->value = value;
+  } else {
+    entries.insert(it, Entry{std::string{name}, value});
+  }
+}
+
+}  // namespace
+
+void MetricsSnapshot::set_counter(std::string_view name,
+                                  std::uint64_t value) {
+  upsert_sorted(counters, name, value);
+}
+
+void MetricsSnapshot::set_gauge(std::string_view name, double value) {
+  upsert_sorted(gauges, name, value);
+}
+
 std::vector<MetricsSnapshot::CounterValue>
 MetricsSnapshot::counters_with_prefix(std::string_view prefix) const {
   std::vector<CounterValue> out;

@@ -76,6 +76,12 @@ struct MetricsSnapshot {
   [[nodiscard]] const LogHistogram* histogram(
       std::string_view name) const noexcept;
 
+  // Sorted upserts: overwrite the named value, or insert it in name
+  // order. For owners that write values read from their sources into a
+  // registry snapshot instead of mirroring them in registry handles.
+  void set_counter(std::string_view name, std::uint64_t value);
+  void set_gauge(std::string_view name, double value);
+
   // Counters whose name starts with `prefix` — the deterministic subset
   // the worker-count-invariance tests compare.
   [[nodiscard]] std::vector<CounterValue> counters_with_prefix(

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "src/scout/experiment.h"
@@ -276,6 +278,54 @@ TEST(IncidentPipeline, ObservabilityStackIsDigestNeutral) {
         << "seed " << seed;
     EXPECT_GT(on.flight_entries, 0u);
   }
+}
+
+// The "name":{...} object inside a flat JSON document (health_json nests
+// one level, so the first '}' after the key closes the section).
+std::string json_section(const std::string& json, const std::string& name) {
+  const std::size_t at = json.find("\"" + name + "\":{");
+  if (at == std::string::npos) return {};
+  return json.substr(at, json.find('}', at) - at + 1);
+}
+
+TEST(IncidentPipeline, HealthGradeIndependentOfTelemetry) {
+  // Migration-heavy churn forces epoch rebuilds, so the rebuild grade has
+  // something to say. Health is fed from the sources after every drain;
+  // a registry being attached or not must not change what it grades.
+  runtime::SerialExecutor executor;
+  MonitoringOptions options;
+  options.profile = GeneratorProfile::scaled(10);
+  options.profile.target_pairs = 10 * 40;
+  options.seed = 3;
+  options.mix.migrate = 0.3;
+  options.events = 400;
+  options.batch_ops = 6;
+  options.localize_final = false;
+  options.collect_health = true;
+  const MonitoringReport on = run_continuous_monitoring(options, executor);
+  options.collect_telemetry = false;
+  const MonitoringReport off = run_continuous_monitoring(options, executor);
+
+  ASSERT_GT(on.batches, 0u);
+  ASSERT_GT(on.checker.full_rebuilds, 0u);
+  EXPECT_NE(json_section(on.health_json, "rebuild").find("critical"),
+            std::string::npos);
+  // Latency burn is on the wall clock, so only rebuild and ring compare.
+  for (const char* section : {"rebuild", "ring"}) {
+    const std::string want = json_section(on.health_json, section);
+    ASSERT_FALSE(want.empty()) << section;
+    EXPECT_EQ(json_section(off.health_json, section), want) << section;
+  }
+  const std::string rebuild = json_section(off.health_json, "rebuild");
+  const std::string key = "\"rate_per_batch\":";
+  ASSERT_NE(rebuild.find(key), std::string::npos);
+  const double rate =
+      std::strtod(rebuild.c_str() + rebuild.find(key) + key.size(), nullptr);
+  // health_json prints 9 significant digits.
+  EXPECT_NEAR(rate,
+              static_cast<double>(off.checker.full_rebuilds) /
+                  static_cast<double>(off.batches),
+              1e-6);
 }
 
 TEST(IncidentPipeline, GrayLegReportsIncidentJson) {

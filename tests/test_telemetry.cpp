@@ -5,10 +5,12 @@
 
 #include <cctype>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/stats.h"
 #include "src/scout/experiment.h"
+#include "src/stream/monitor_loop.h"
 #include "src/telemetry/metrics.h"
 #include "src/telemetry/trace.h"
 
@@ -148,55 +150,106 @@ TEST(Metrics, PrometheusExpositionConformance) {
   }
 }
 
-// Satellite: per-switch churn gauges are capped at the K busiest switches
-// with the remainder conserved in stream.churn.other — cardinality stays
-// O(K), not O(fabric), and nothing is silently dropped.
+// Per-switch churn gauges are capped at the K busiest switches with the
+// remainder conserved in stream.churn.other — cardinality stays O(K), not
+// O(fabric), and nothing is silently dropped. The fabric is larger than K
+// so the rollup is exercised.
 TEST(Telemetry, ChurnGaugeCardinalityCappedWithConservation) {
+  constexpr std::size_t kTopK = stream::MonitorLoop::kChurnTopK;
   MonitoringOptions options;
-  options.profile = GeneratorProfile::scaled(16);
-  options.profile.target_pairs = 16 * 30;
-  options.events = 200;
-  options.batch_ops = 12;
+  options.profile = GeneratorProfile::scaled(48);
+  options.profile.target_pairs = 48 * 10;
+  options.events = 3000;
+  options.batch_ops = 60;
   options.seed = 21;
   options.localize_final = false;
   runtime::SerialExecutor executor;
+  const MonitoringReport report = run_continuous_monitoring(options, executor);
 
-  auto churn_sum = [](const MetricsSnapshot& snap) {
-    double total = 0;
-    for (const auto& g : snap.gauges) {
-      if (g.name.rfind("stream.churn.sw", 0) == 0 ||
-          g.name == "stream.churn.other") {
-        total += g.value;
-      }
+  std::size_t sw_gauges = 0;
+  std::size_t nonzero = 0;
+  double total = 0;
+  for (const auto& g : report.telemetry.gauges) {
+    if (g.name.rfind("stream.churn.sw", 0) == 0) {
+      ++sw_gauges;
+      if (g.value > 0) ++nonzero;
+      total += g.value;
     }
-    return total;
-  };
-  auto nonzero_sw_gauges = [](const MetricsSnapshot& snap) {
-    std::size_t n = 0;
-    for (const auto& g : snap.gauges) {
-      if (g.name.rfind("stream.churn.sw", 0) == 0 && g.value > 0) ++n;
+  }
+  const double other = report.telemetry.gauge("stream.churn.other");
+  EXPECT_EQ(sw_gauges, kTopK);
+  EXPECT_LE(nonzero, kTopK);
+  EXPECT_GT(other, 0.0);
+  // The serial transport synthesizes no shadow resyncs, so every applied
+  // event is a TCAM delta and counts as churn on exactly one switch.
+  EXPECT_EQ(report.telemetry.counter("stream.bus_resyncs_synthesized"), 0u);
+  EXPECT_DOUBLE_EQ(total + other,
+                   static_cast<double>(report.checker.events_applied));
+}
+
+// Every series the monitor exports from another object's count equals that
+// object's own total — on the serial transport and through the MPSC ring
+// (a tiny ring capacity forces evictions and shadow resyncs there).
+TEST(Telemetry, ExportedSeriesEqualTheirSources) {
+  MonitoringOptions serial;
+  serial.profile = GeneratorProfile::scaled(10);
+  serial.profile.target_pairs = 10 * 40;
+  serial.events = 300;
+  serial.batch_ops = 12;
+  serial.seed = 29;
+  serial.mix.migrate = 0.05;
+  serial.localize_final = false;
+  serial.gray_rate = 0.1;
+  serial.evict_policy = "lru-touch";
+  MonitoringOptions ring = serial;
+  ring.publishers = 2;
+  ring.ring_capacity = 8;
+  runtime::SerialExecutor executor;
+
+  for (const MonitoringOptions* options : {&serial, &ring}) {
+    const std::string leg = options->publishers == 0 ? "serial" : "ring";
+    const MonitoringReport r = run_continuous_monitoring(*options, executor);
+    const MetricsSnapshot& snap = r.telemetry;
+    const stream::IncrementalChecker::Stats& c = r.checker;
+    const std::pair<const char*, std::size_t> checker_series[] = {
+        {"stream.initial_builds", c.initial_builds},
+        {"stream.events_applied", c.events_applied},
+        {"stream.incremental_updates", c.incremental_updates},
+        {"stream.full_rebuilds", c.full_rebuilds},
+        {"stream.epoch_rebuilds", c.epoch_rebuilds},
+        {"stream.threshold_trips", c.threshold_trips},
+        {"stream.unsafe_rebuilds", c.unsafe_rebuilds},
+        {"stream.overflow_resyncs", c.overflow_resyncs},
+        {"stream.diff_recomputes", c.diff_recomputes},
+        {"stream.verdicts_reused", c.verdicts_reused},
+    };
+    for (const auto& [name, value] : checker_series) {
+      EXPECT_EQ(snap.counter(name), value) << leg << ' ' << name;
     }
-    return n;
-  };
+    EXPECT_EQ(snap.counter("stream.ring_evictions"), r.ring_evictions) << leg;
+    EXPECT_EQ(snap.counter("stream.ring_full_stalls"), r.ring_full_stalls)
+        << leg;
+    EXPECT_EQ(snap.counter("faults.gray.misrenders"), r.gray_misrenders)
+        << leg;
+    EXPECT_EQ(snap.counter("faults.gray.drops"), r.gray_drops) << leg;
+    std::uint64_t evictions = 0;
+    for (const auto& cv : snap.counters_with_prefix("tcam.evictions.")) {
+      evictions += cv.value;
+    }
+    EXPECT_EQ(evictions, r.tcam_evictions) << leg;
+    EXPECT_EQ(snap.counter("stream.batches"), r.batches) << leg;
+    EXPECT_EQ(snap.counter("stream.events_drained"), r.events) << leg;
 
-  MonitoringOptions capped = options;
-  capped.churn_top_k = 4;
-  const MonitoringReport small = run_continuous_monitoring(capped, executor);
-  EXPECT_LE(nonzero_sw_gauges(small.telemetry), 4u);
-
-  MonitoringOptions uncapped = options;
-  uncapped.churn_top_k = 1024;  // larger than any fabric here
-  const MonitoringReport big = run_continuous_monitoring(uncapped, executor);
-  EXPECT_DOUBLE_EQ(big.telemetry.gauge("stream.churn.other"), 0.0);
-  EXPECT_GT(nonzero_sw_gauges(big.telemetry), 4u);
-
-  // Same seed, same churn: top-K + other must conserve the total.
-  EXPECT_DOUBLE_EQ(churn_sum(small.telemetry), churn_sum(big.telemetry));
-  EXPECT_GT(churn_sum(small.telemetry), 0.0);
-  EXPECT_GT(small.telemetry.gauge("stream.churn.other"), 0.0);
-  // The capped run's digest is the uncapped run's digest: gauge
-  // cardinality is pure telemetry.
-  EXPECT_EQ(small.verdict_digest, big.verdict_digest);
+    // The sources must have moved, or the equalities prove nothing.
+    EXPECT_GT(c.events_applied, 0u) << leg;
+    EXPECT_GT(c.full_rebuilds, 0u) << leg;
+    EXPECT_GT(r.gray_misrenders, 0u) << leg;
+    EXPECT_GT(r.tcam_evictions, 0u) << leg;
+    if (options == &ring) {
+      EXPECT_GT(r.ring_evictions, 0u);
+      EXPECT_GT(c.overflow_resyncs, 0u);
+    }
+  }
 }
 
 TEST(Metrics, ExportFormats) {
