@@ -27,13 +27,31 @@ void DeployStats::count(ApplyStatus s) noexcept {
 }
 
 void Controller::recompile() {
-  compiled_ = PolicyCompiler::compile(policy_);
+  CompiledPolicy fresh = PolicyCompiler::compile(policy_);
   ++compile_epoch_;
+  // Priorities are assigned per switch, so a policy change leaves the
+  // rule vectors of every switch it does not render differently on
+  // byte-identical: only the changed ones get the new epoch.
+  for (const auto& [sw, rules] : fresh.per_switch) {
+    const auto old = compiled_.per_switch.find(sw);
+    if (old == compiled_.per_switch.end() || old->second != rules) {
+      switch_epoch_[sw] = compile_epoch_;
+    }
+  }
+  for (const auto& [sw, rules] : compiled_.per_switch) {
+    if (!fresh.per_switch.contains(sw)) switch_epoch_[sw] = compile_epoch_;
+  }
+  compiled_ = std::move(fresh);
   stream::StreamEvent ev;
   ev.type = stream::StreamEventType::kPolicyPushed;
   ev.time = clock_->now();
   ev.epoch = compile_epoch_;
   stream::publish_event(bus_, std::move(ev));
+}
+
+std::uint64_t Controller::compiled_epoch(SwitchId sw) const {
+  const auto it = switch_epoch_.find(sw);
+  return it == switch_epoch_.end() ? 0 : it->second;
 }
 
 void Controller::attach_agents(std::vector<SwitchAgent*> agents) {

@@ -78,12 +78,21 @@ class Controller {
     return compiled_;
   }
   // Monotonic compilation counter: bumped every time `compiled()` is
-  // regenerated. Consumers caching work derived from the compiled policy
-  // (e.g. the checker's per-switch logical BDDs) key it by this epoch so a
-  // recompile invalidates them.
+  // regenerated. Consumers caching work derived from the whole compiled
+  // policy (e.g. LogicalBddCache) key it by this epoch so a recompile
+  // invalidates them.
   [[nodiscard]] std::uint64_t compiled_epoch() const noexcept {
     return compile_epoch_;
   }
+  // Per-switch compiled epoch: the global epoch of the last recompile
+  // that changed `compiled().rules_for(sw)` (the switch's L-rule vector
+  // differs, or the switch entered or left the compilation); 0 if none
+  // ever did. A recompile that renders a switch identically leaves its
+  // epoch alone, so work derived from that switch's rules alone (the
+  // stream checker's resident L-BDD and cached verdict) stays valid.
+  // Read-only; safe to call concurrently while the controller is not
+  // being mutated.
+  [[nodiscard]] std::uint64_t compiled_epoch(SwitchId sw) const;
 
   // Register the agents the controller manages (non-owning).
   void attach_agents(std::vector<SwitchAgent*> agents);
@@ -101,7 +110,8 @@ class Controller {
 
   // Re-run the compiler against the current policy without pushing
   // (used by collectors/checkers that need fresh L-rules). Bumps the
-  // compiled epoch and publishes a policy-push event when a bus is
+  // compiled epoch, stamps the per-switch epoch of every switch whose
+  // rules changed, and publishes a policy-push event when a bus is
   // attached, so resident logical BDDs (LogicalBddCache, the stream
   // monitor) can never serve a stale compilation.
   void recompile();
@@ -193,6 +203,7 @@ class Controller {
   ControlChannel channel_;
   CompiledPolicy compiled_;
   std::uint64_t compile_epoch_ = 0;
+  std::unordered_map<SwitchId, std::uint64_t> switch_epoch_;
   std::unordered_map<SwitchId, SwitchAgent*> agents_;
   std::unordered_map<SwitchId, std::uint32_t> next_priority_;
   std::unordered_map<SwitchId, std::size_t> open_unreachable_;

@@ -136,8 +136,9 @@ void StormSchedule::rolling_upgrade(std::uint64_t episode_seed,
   Rng rng{episode_seed};
   Controller& controller = net_->controller();
   // The upgraded controller instance recompiles the (unchanged) policy —
-  // once or twice, as standby and active come up — bumping the compiled
-  // epoch mid-churn and forcing every resident logical BDD to rebuild.
+  // once or twice, as standby and active come up — bumping the global
+  // compiled epoch mid-churn. No switch's compiled rules change, so no
+  // per-switch epoch moves and the stream checker re-encodes nothing.
   const std::size_t recompiles = 1 + rng.below(2);
   for (std::size_t i = 0; i < recompiles; ++i) {
     controller.recompile();

@@ -230,13 +230,14 @@ void ConcurrentChurnDriver::make_schedule(std::size_t data_ops) {
   schedule_.clear();
   schedule_mutated_.clear();
   const auto agents = net_->agents();
-  if (agents.empty() || data_ops == 0) return;
-  schedule_.reserve(data_ops);
-  const std::uint64_t interval_seed = derive_seed(schedule_seed_, interval_);
-  ++interval_;
   const double evict_w = std::max(0.0, options_.mix.evict);
   const double corrupt_w = std::max(0.0, options_.mix.corrupt);
   const double total = evict_w + corrupt_w;
+  // A mix without data-plane weights schedules no data ops at all.
+  if (agents.empty() || data_ops == 0 || total <= 0.0) return;
+  schedule_.reserve(data_ops);
+  const std::uint64_t interval_seed = derive_seed(schedule_seed_, interval_);
+  ++interval_;
   for (std::size_t i = 0; i < data_ops; ++i) {
     // One private rng per op, derived from (interval, op index) — no
     // shared stream for publisher threads to race on, and no dependence
@@ -245,9 +246,8 @@ void ConcurrentChurnDriver::make_schedule(std::size_t data_ops) {
     net_->clock().advance(op_rng.between(1, 40));
     DataOp op;
     op.agent_index = op_rng.below(agents.size());
-    op.kind = (total <= 0.0 || op_rng.uniform() * total < evict_w)
-                  ? DataOp::Kind::kEvict
-                  : DataOp::Kind::kCorrupt;
+    op.kind = op_rng.uniform() * total < evict_w ? DataOp::Kind::kEvict
+                                                  : DataOp::Kind::kCorrupt;
     op.rng_seed = op_rng();
     op.time = net_->clock().now();
     op.cause = CauseId::make(op.kind == DataOp::Kind::kEvict

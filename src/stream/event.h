@@ -12,8 +12,9 @@
 //  * control-plane transitions (agent crash/recover, channel down/up,
 //    TCAM overflow, full switch resync).
 //  * policy-layer actions (benign change records; compiled-policy pushes,
-//    which bump Controller::compiled_epoch() and invalidate resident
-//    logical BDDs).
+//    which bump Controller::compiled_epoch() and invalidate the resident
+//    logical BDDs of exactly the switches whose compiled rules changed,
+//    per Controller::compiled_epoch(SwitchId)).
 //
 // Events are the *sole* input of stream::IncrementalChecker: it mirrors
 // each switch's TCAM from the rule events and never re-collects, so a

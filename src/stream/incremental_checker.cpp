@@ -37,7 +37,11 @@ struct IncrementalChecker::SwitchState {
   BddManager::Checkpoint l_mark{};
   BddRef l_bdd = kBddFalse;
   BddRef t_bdd = kBddFalse;
+  // Global compiled epoch the resident L, T and verdict are current for,
+  // and the switch's own compiled epoch L was encoded at: while the latter
+  // has not moved, a global bump is adopted without re-encoding.
   std::uint64_t epoch = kNoEpoch;
+  std::uint64_t l_epoch = 0;
   std::size_t nodes_at_rebuild = 1;
 
   // Mirror of the agent's TCAM (same contents, same table order),
@@ -208,6 +212,7 @@ void IncrementalChecker::rebuild_arena(Shard& shard, SwitchState& st,
   st.l_mark = st.mgr.checkpoint();
   rebuild_t(st);
   st.epoch = epoch;
+  st.l_epoch = net_->controller().compiled_epoch(st.sw);
   st.verdict_valid = false;
   if (initial) {
     ++shard.stats.initial_builds;
@@ -476,7 +481,15 @@ void IncrementalChecker::process_shard(std::size_t shard_index,
   for (std::size_t i = shard_index; i < states_.size();
        i += shards_.size()) {
     SwitchState& st = *states_[i];
+    // A recompile that rendered this switch identically leaves L as it
+    // was (BDDs are canonical): adopt the new epoch without a rebuild, so
+    // the batch's deltas take the cube-update path.
+    if (st.epoch != epoch && st.epoch != kNoEpoch &&
+        net_->controller().compiled_epoch(st.sw) == st.l_epoch) {
+      st.epoch = epoch;
+    }
     if (st.pending.empty() && st.epoch == epoch && st.verdict_valid) {
+      ++shard.stats.verdicts_reused;
       continue;
     }
     // Apply the batch's deltas to the shadow (always) and to T (when the

@@ -25,8 +25,11 @@
 //
 // Full rebuilds (rollback to the watermark + ruleset_to_bdd over the
 // shadow) happen on exactly three triggers, each counted:
-//   * epoch    — Controller::compiled_epoch() moved: L itself is stale, the
-//                whole arena is re-encoded;
+//   * epoch    — this switch's compiled rules changed
+//                (Controller::compiled_epoch(sw) moved): L itself is stale,
+//                the whole arena is re-encoded. A recompile that renders
+//                the switch identically costs it nothing: the switch adopts
+//                the new global epoch and keeps L, T and its verdict;
 //   * threshold— churned T versions leave dead nodes above the watermark
 //                (the arena has no GC); past a divergence threshold the
 //                arena is compacted by rollback + re-encode;
@@ -74,7 +77,7 @@ class IncrementalChecker {
     std::size_t events_applied = 0;
     std::size_t incremental_updates = 0;  // cube-level T updates
     std::size_t full_rebuilds = 0;      // post-prime T re-encodes, total
-    std::size_t epoch_rebuilds = 0;     //   caused by compiled-epoch bumps
+    std::size_t epoch_rebuilds = 0;     //   caused by per-switch epoch bumps
     std::size_t threshold_trips = 0;    //   caused by arena divergence
     std::size_t unsafe_rebuilds = 0;    //   caused by out-of-shape deltas
     std::size_t overflow_resyncs = 0;   //   caused by ring-eviction resyncs
@@ -97,8 +100,10 @@ class IncrementalChecker {
   void stage(std::span<const StreamEvent> events);
 
   // Apply the staged events for every switch owned by `shard` and refresh
-  // those switches' verdicts against compiled epoch `epoch`. Distinct
-  // shards may run concurrently; the same shard must not.
+  // those switches' verdicts against compiled epoch `epoch` (the
+  // controller's current one). Only switches whose own compiled epoch
+  // moved re-encode L. Distinct shards may run concurrently; the same
+  // shard must not, and the controller must not be mutated meanwhile.
   void process_shard(std::size_t shard, std::uint64_t epoch);
 
   // Fabric verdict composed from the per-switch cached verdicts in agent

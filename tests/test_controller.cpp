@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <unordered_map>
+#include <vector>
+
 #include "src/scout/sim_network.h"
 #include "src/workload/three_tier.h"
 
@@ -71,6 +75,64 @@ TEST_F(ControllerFixture, DeployNewFilterKeepsCompiledInSync) {
     }
   }
   EXPECT_EQ(found, 4u);
+}
+
+// Per-switch compiled epochs move only where a recompile rendered the
+// switch's L-rules differently: `moved` lists the switches whose epoch
+// changed, and every one of them must carry the new global epoch.
+std::vector<SwitchId> moved_switches(
+    const Controller& c, const std::unordered_map<SwitchId, std::uint64_t>&
+                             before) {
+  std::vector<SwitchId> moved;
+  for (const auto& [sw, epoch] : before) {
+    if (c.compiled_epoch(sw) != epoch) {
+      EXPECT_EQ(c.compiled_epoch(sw), c.compiled_epoch()) << "sw " << sw;
+      moved.push_back(sw);
+    }
+  }
+  std::sort(moved.begin(), moved.end());
+  return moved;
+}
+
+TEST_F(ControllerFixture, CompiledEpochStampsOnlyChangedSwitches) {
+  (void)net.deploy();
+  Controller& c = net.controller();
+  const auto epochs = [&] {
+    std::unordered_map<SwitchId, std::uint64_t> out;
+    for (SwitchId sw : {three.s1, three.s2, three.s3}) {
+      out[sw] = c.compiled_epoch(sw);
+    }
+    return out;
+  };
+  // Initial deploy compiles every switch.
+  for (const auto& [sw, epoch] : epochs()) {
+    EXPECT_EQ(epoch, c.compiled_epoch()) << "sw " << sw;
+  }
+
+  // Unchanged policy: the global epoch bumps, no switch is stamped.
+  auto before = epochs();
+  const std::uint64_t global = c.compiled_epoch();
+  c.recompile();
+  EXPECT_EQ(c.compiled_epoch(), global + 1);
+  EXPECT_TRUE(moved_switches(c, before).empty());
+
+  // A filter on App-DB renders on the switches hosting App and DB only.
+  before = epochs();
+  (void)c.deploy_new_filter("port443", {FilterEntry::allow_tcp(443)},
+                            three.app_db, nullptr);
+  EXPECT_EQ(moved_switches(c, before),
+            (std::vector<SwitchId>{three.s2, three.s3}));
+
+  // Migrating Web's only endpoint S1 -> S3 changes S1 (it loses every
+  // Web rule) and S3 (it gains them); App's rules on S2 are untouched.
+  before = epochs();
+  const auto old_compiled = c.compiled().per_switch;
+  const EndpointId ep1 = c.policy().endpoints()[0].id;
+  ASSERT_EQ(c.policy().endpoint(ep1).attached_switch, three.s1);
+  (void)c.migrate_endpoint(ep1, three.s3);
+  EXPECT_EQ(moved_switches(c, before),
+            (std::vector<SwitchId>{three.s1, three.s3}));
+  EXPECT_EQ(c.compiled().rules_for(three.s2), old_compiled.at(three.s2));
 }
 
 TEST_F(ControllerFixture, DisconnectedSwitchLosesInstructions) {

@@ -2,12 +2,20 @@
 // incremental monitor's verdicts must be identical to a fresh
 // ScoutSystem::check_all after every batch — across randomized event
 // streams, mid-stream compiled-epoch bumps, divergence-threshold trips,
-// out-of-shape (unsafe) deltas, and 1/2/4 workers.
+// out-of-shape (unsafe) deltas, and 1/2/4 workers — and a recompile must
+// re-encode only the switches whose compiled rules it changed.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/scout/experiment.h"
 #include "src/scout/scout_system.h"
+#include "src/stream/churn_generator.h"
 #include "src/stream/monitor_loop.h"
+#include "src/stream/mpsc_ring.h"
+#include "src/workload/policy_generator.h"
 #include "src/workload/three_tier.h"
 
 namespace scout {
@@ -299,6 +307,186 @@ TEST(StreamMonitor, UnsafeDeltaFallsBackToRebuildExactly) {
   ASSERT_GT(net.agent(three.s2).evict_rules(1, net.clock().now()), 0u);
   const stream::MonitorVerdict after = monitor.drain();
   EXPECT_TRUE(fabric_check_identical(after.check, system.check_all(net)));
+}
+
+// A migration re-encodes L only where it changed a switch's compiled
+// rules. Hand-driven over a generated fabric: per migration, the epoch
+// rebuilds equal the switches whose per-switch compiled epoch moved (never
+// the whole fabric), and the verdict equals a fresh check_all. Evictions
+// between migrations keep the verdicts non-trivial and exercise the cube
+// path on switches that kept their L across the global epoch bump.
+TEST(StreamMonitor, MigrationReencodesOnlySwitchesWhoseRulesChanged) {
+  Rng net_rng{17};
+  GeneratorProfile profile = GeneratorProfile::scaled(10);
+  profile.target_pairs = 10 * 40;
+  GeneratedNetwork generated = generate_network(profile, net_rng);
+  SimNetwork net{std::move(generated.fabric), std::move(generated.policy)};
+  net.deploy();
+  net.clock().advance(3'600'000);
+  stream::EventBus bus;
+  net.attach_event_bus(&bus);
+  runtime::SerialExecutor executor;
+  stream::MonitorLoop monitor{net, bus, executor};
+  monitor.prime();
+  const ScoutSystem system;
+  Controller& controller = net.controller();
+  const auto agents = net.agents();
+
+  Rng rng{29};
+  std::size_t migrations_with_rebuilds = 0;
+  for (int m = 0; m < 12; ++m) {
+    SwitchAgent& victim = *agents[rng.below(agents.size())];
+    (void)victim.evict_rules(1 + rng.below(3), net.clock().now());
+    std::vector<std::uint64_t> before;
+    for (const auto& a : agents) {
+      before.push_back(controller.compiled_epoch(a->id()));
+    }
+    const std::size_t rebuilds_before =
+        monitor.checker_stats().epoch_rebuilds;
+    const auto endpoints = controller.policy().endpoints();
+    const EndpointId ep = endpoints[rng.below(endpoints.size())].id;
+    (void)controller.migrate_endpoint(
+        ep, agents[rng.below(agents.size())]->id());
+
+    std::size_t moved = 0;
+    for (std::size_t i = 0; i < agents.size(); ++i) {
+      if (controller.compiled_epoch(agents[i]->id()) != before[i]) ++moved;
+    }
+    const stream::MonitorVerdict verdict = monitor.drain();
+    const std::size_t rebuilds =
+        monitor.checker_stats().epoch_rebuilds - rebuilds_before;
+    EXPECT_EQ(rebuilds, moved) << "migration " << m;
+    EXPECT_LT(rebuilds, agents.size()) << "migration " << m;
+    EXPECT_LE(rebuilds, 2u) << "migration " << m;
+    if (rebuilds > 0) ++migrations_with_rebuilds;
+    EXPECT_TRUE(fabric_check_identical(verdict.check, system.check_all(net)))
+        << "migration " << m;
+  }
+  EXPECT_GT(migrations_with_rebuilds, 0u);
+  EXPECT_GT(monitor.checker_stats().incremental_updates, 0u);
+}
+
+// The same property under randomized migration-heavy churn, cross-checked
+// against a fresh check_all after every batch.
+TEST(StreamMonitor, MigrationHeavyChurnStaysExact) {
+  runtime::SerialExecutor executor;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    MonitoringOptions options = small_scenario(seed);
+    options.mix.migrate = 0.3;
+    options.verify_batches = true;
+    const MonitoringReport report =
+        run_continuous_monitoring(options, executor);
+    EXPECT_EQ(report.verify_mismatches, 0u) << "seed " << seed;
+    EXPECT_GT(report.checker.epoch_rebuilds, 0u) << "seed " << seed;
+    EXPECT_GT(report.checker.incremental_updates, 0u) << "seed " << seed;
+    expect_counter_consistency(report);
+  }
+}
+
+// A recompile of an unchanged policy (what a controller upgrade does)
+// moves the global epoch but no switch's compiled rules: nothing is
+// re-encoded, and every switch serves its cached verdict.
+TEST(StreamMonitor, UnchangedPolicyRecompileRebuildsNothing) {
+  ThreeTierNetwork three = make_three_tier();
+  SimNetwork net{std::move(three.fabric), std::move(three.policy)};
+  net.deploy();
+  net.clock().advance(3'600'000);
+  stream::EventBus bus;
+  net.attach_event_bus(&bus);
+  runtime::SerialExecutor executor;
+  stream::MonitorLoop monitor{net, bus, executor};
+  monitor.prime();
+  const ScoutSystem system;
+
+  ASSERT_GT(net.agent(three.s2).evict_rules(2, net.clock().now()), 0u);
+  const stream::MonitorVerdict faulty = monitor.drain();
+  ASSERT_FALSE(faulty.check.inconsistent.empty());
+  const stream::IncrementalChecker::Stats before = monitor.checker_stats();
+
+  net.controller().recompile();
+  net.controller().recompile();
+  const stream::MonitorVerdict after = monitor.drain();
+  const stream::IncrementalChecker::Stats stats = monitor.checker_stats();
+  EXPECT_EQ(stats.epoch_rebuilds, 0u);
+  EXPECT_EQ(stats.full_rebuilds, before.full_rebuilds);
+  EXPECT_EQ(stats.diff_recomputes, before.diff_recomputes);
+  EXPECT_EQ(stats.verdicts_reused, before.verdicts_reused + 3);
+  EXPECT_TRUE(fabric_check_identical(after.check, faulty.check));
+  EXPECT_TRUE(fabric_check_identical(after.check, system.check_all(net)));
+
+  // Deltas after the bump take the cube path on the adopted epoch.
+  (void)net.controller().resync_switch(three.s2);
+  const stream::MonitorVerdict repaired = monitor.drain();
+  EXPECT_TRUE(repaired.check.inconsistent.empty());
+  EXPECT_EQ(monitor.checker_stats().epoch_rebuilds, 0u);
+  EXPECT_GT(monitor.checker_stats().incremental_updates,
+            stats.incremental_updates);
+}
+
+// The rolling-upgrade storm recompiles the unchanged policy mid-churn: no
+// epoch rebuilds, and the incremental verdict stream equals the
+// full-recheck one.
+TEST(StreamMonitor, RollingUpgradeRecompilesKeepDigestWithoutRebuilds) {
+  runtime::SerialExecutor executor;
+  MonitoringOptions options = small_scenario(4);
+  options.mix.migrate = 0.0;
+  options.storm = "rolling-upgrade";
+  options.storm_every_batches = 1;
+  options.verify_batches = true;
+  const MonitoringReport report =
+      run_continuous_monitoring(options, executor);
+  EXPECT_GT(report.storm_episodes, 0u);
+  EXPECT_EQ(report.checker.epoch_rebuilds, 0u);
+  EXPECT_EQ(report.verify_mismatches, 0u);
+
+  options.incremental = false;
+  options.verify_batches = false;
+  const MonitoringReport full = run_continuous_monitoring(options, executor);
+  EXPECT_EQ(report.verdict_digest, full.verdict_digest);
+}
+
+// A concurrent-driver mix with zero evict and corrupt weights schedules no
+// data-plane ops: the ring transport publishes no eviction and no
+// corruption, only the serial control tail's events.
+TEST(StreamMonitor, ZeroDataWeightsScheduleNoDataOpsOnRing) {
+  ThreeTierNetwork three = make_three_tier();
+  SimNetwork net{std::move(three.fabric), std::move(three.policy)};
+  net.deploy();
+  net.clock().advance(3'600'000);
+  stream::EventBus bus;
+  net.attach_event_bus(&bus);
+  constexpr std::size_t kPublishers = 2;
+  std::size_t sw_bound = 0;
+  for (const auto& agent : net.agents()) {
+    sw_bound = std::max<std::size_t>(sw_bound, agent->id().value() + 1);
+  }
+  stream::MpscRing ring{kPublishers, sw_bound, stream::MpscRing::Options{}};
+  bus.attach_ring(&ring);
+
+  stream::ConcurrentChurnDriver::Options dopts;
+  dopts.publishers = kPublishers;
+  dopts.mix.evict = 0.0;
+  dopts.mix.corrupt = 0.0;
+  stream::ConcurrentChurnDriver driver{net, bus, 7, dopts};
+  for (int i = 0; i < 6; ++i) (void)driver.pump(40);
+  driver.stop();
+  (void)bus.ingest_ring();
+
+  std::uint64_t tcam_evictions = 0;
+  for (const auto& agent : net.agents()) {
+    tcam_evictions += agent->tcam().evictions();
+  }
+  EXPECT_EQ(tcam_evictions, 0u);
+  std::size_t evicted = 0;
+  std::size_t corrupted = 0;
+  const auto events = bus.events_since(0);
+  for (const stream::StreamEvent& ev : events) {
+    if (ev.type == stream::StreamEventType::kRuleEvicted) ++evicted;
+    if (ev.type == stream::StreamEventType::kRuleModified) ++corrupted;
+  }
+  EXPECT_GT(events.size(), 0u);  // the control tail still ran
+  EXPECT_EQ(evicted, 0u);
+  EXPECT_EQ(corrupted, 0u);
 }
 
 }  // namespace
