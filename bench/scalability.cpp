@@ -155,9 +155,9 @@ int main(int argc, char** argv) {
               "(%zu counts x %zu reps; per-task means from the last "
               "sweep) ===\n",
               options.switch_counts.size(), options.reps);
-  std::printf("  %-9s %-10s %-10s %-10s %-10s %-9s %-9s %-9s\n", "switches",
-              "pairs", "elements", "risks", "edges", "check(s)", "build(s)",
-              "scout(s)");
+  std::printf("  %-9s %-10s %-10s %-10s %-10s %-9s %-9s %-9s %-9s\n",
+              "switches", "pairs", "elements", "risks", "edges", "check(s)",
+              "build(s)", "scout(s)", "corr(s)");
   double t200 = 0.0, t500 = 0.0;
   for (std::size_t c = 0; c < options.switch_counts.size(); ++c) {
     // Mean over this count's reps (grid is count-major).
@@ -172,6 +172,7 @@ int main(int argc, char** argv) {
       mean.check_seconds += p.check_seconds;
       mean.model_build_seconds += p.model_build_seconds;
       mean.localize_seconds += p.localize_seconds;
+      mean.correlate_seconds += p.correlate_seconds;
     }
     const double reps = static_cast<double>(options.reps);
     mean.epg_pairs /= options.reps;
@@ -181,13 +182,15 @@ int main(int argc, char** argv) {
     mean.check_seconds /= reps;
     mean.model_build_seconds /= reps;
     mean.localize_seconds /= reps;
+    mean.correlate_seconds /= reps;
 
-    std::printf("  %-9zu %-10zu %-10zu %-10zu %-10zu %-9.3f %-9.3f %-9.3f\n",
-                mean.switches, mean.epg_pairs, mean.elements, mean.risks,
-                mean.edges, mean.check_seconds, mean.model_build_seconds,
-                mean.localize_seconds);
+    std::printf(
+        "  %-9zu %-10zu %-10zu %-10zu %-10zu %-9.3f %-9.3f %-9.3f %-9.3f\n",
+        mean.switches, mean.epg_pairs, mean.elements, mean.risks, mean.edges,
+        mean.check_seconds, mean.model_build_seconds, mean.localize_seconds,
+        mean.correlate_seconds);
     const double total = mean.check_seconds + mean.model_build_seconds +
-                         mean.localize_seconds;
+                         mean.localize_seconds + mean.correlate_seconds;
     if (mean.switches == 200) t200 = total;
     if (mean.switches == 500) t500 = total;
   }

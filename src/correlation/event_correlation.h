@@ -49,9 +49,12 @@ struct FaultSignature {
   RootCauseType cause = RootCauseType::kUnknown;
 };
 
-// Which switches each policy object's rules were deployed to; built from
-// compiled-rule provenance by the caller. Used to require that a fault
-// record's switch is actually in the object's deployment scope.
+// Which switches each policy object's compiled rules are on. Keys are the
+// objects named by the provenance of at least one L-rule (default-deny
+// rules name none); each switch is listed once, in the compiled policy's
+// switch iteration order, not sorted. ScoutSystem::build_object_scope
+// builds it. correlate() looks up only the hypothesis objects, to require
+// that a fault record's switch is in the object's deployment scope.
 using ObjectScope = std::unordered_map<ObjectRef, std::vector<SwitchId>>;
 
 class EventCorrelationEngine {

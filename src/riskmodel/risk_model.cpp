@@ -55,13 +55,21 @@ RiskModel RiskModel::build_switch_model(const PolicyIndex& index,
 RiskModel RiskModel::build_controller_model(const PolicyIndex& index) {
   RiskModel m;
   m.kind_ = RiskModelKind::kController;
+  std::vector<RiskIdx> pair_risks;
   for (const EpgPair& pair : index.pairs()) {
-    const auto& objects = index.objects_of(pair);
-    for (SwitchId sw : index.switches_of(pair)) {
+    const auto& switches = index.switches_of(pair);
+    // A pair deployed nowhere has no element, so none of its objects is a
+    // risk. Otherwise its objects are interned once, in the order the
+    // first switch's element would intern them.
+    if (switches.empty()) continue;
+    pair_risks.clear();
+    for (ObjectRef obj : index.objects_of(pair)) {
+      pair_risks.push_back(m.intern_risk(obj));
+    }
+    for (SwitchId sw : switches) {
       const ElementIdx e = m.intern_element(RiskElement{sw, pair});
-      for (ObjectRef obj : objects) {
-        m.add_edge(e, m.intern_risk(obj));
-      }
+      m.elem_risks_[e].reserve(pair_risks.size() + 1);
+      for (const RiskIdx r : pair_risks) m.add_edge(e, r);
       // The switch is a physical shared risk for every pair deployed on it
       // (Figure 3 includes switches among the objects pairs depend on).
       m.add_edge(e, m.intern_risk(ObjectRef::of(sw)));

@@ -55,7 +55,10 @@ class RiskModel {
   // Switch risk model for `sw` (paper Figure 4(a)).
   static RiskModel build_switch_model(const PolicyIndex& index, SwitchId sw);
 
-  // Controller risk model over all switches (paper Figure 4(b)).
+  // Controller risk model over all switches (paper Figure 4(b)). Pairs are
+  // taken in index order; risks are numbered by first use: a pair's policy
+  // objects, then each switch it is deployed on. A pair deployed on no
+  // switch adds no element and no risk.
   static RiskModel build_controller_model(const PolicyIndex& index);
 
   // Empty model for hand-constructed bipartite graphs (tests, tooling,

@@ -607,7 +607,8 @@ std::vector<GammaBucket> run_gamma_experiment(const GammaOptions& options) {
 namespace {
 
 // The measured portion of one scalability cell, over an already-deployed
-// network: inject, then time check / model build / localization. Shared by
+// network: inject, then time check / model build / localization /
+// correlation, the stages of ScoutSystem::analyze_controller. Shared by
 // the one-off point API (fresh network, RNG continuing from generation)
 // and the campaign (cached network, per-cell fault RNG).
 ScalePoint measure_scale_point(SimNetwork& net, ObjectFaultInjector& injector,
@@ -642,7 +643,15 @@ ScalePoint measure_scale_point(SimNetwork& net, ObjectFaultInjector& injector,
   const LocalizationResult result = ScoutLocalizer{lopts}.localize(
       model, net.controller().change_log(), net.clock().now());
   point.localize_seconds = seconds_since(t0);
-  (void)result;
+
+  const EventCorrelationEngine correlation;
+  t0 = Clock::now();
+  const FaultLog faults = net.collect_fault_logs();
+  const ObjectScope scope = ScoutSystem::build_object_scope(net);
+  const std::vector<RootCause> causes = correlation.correlate(
+      result.hypothesis, net.controller().change_log(), faults, scope);
+  point.correlate_seconds = seconds_since(t0);
+  (void)causes;
   return point;
 }
 

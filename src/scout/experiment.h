@@ -208,10 +208,13 @@ struct ScalePoint {
   double model_build_seconds = 0.0;
   double check_seconds = 0.0;
   double localize_seconds = 0.0;
+  // collect_fault_logs + build_object_scope + correlate.
+  double correlate_seconds = 0.0;
 };
 
 // Full pipeline timing at `switches` leaves (controller risk model):
-// generate + deploy + inject `n_faults` + check + build + localize. The
+// generate + deploy + inject `n_faults` + check + build + localize +
+// correlate (every stage of ScoutSystem::analyze_controller). The
 // executor overload shards the L-T check stage per switch
 // (ScoutSystem::check_all); the default runs it serially.
 [[nodiscard]] ScalePoint run_scalability_point(std::size_t switches,

@@ -95,15 +95,25 @@ std::vector<LogicalRule> ScoutSystem::find_missing_rules(
 
 ObjectScope ScoutSystem::build_object_scope(const SimNetwork& net) {
   ObjectScope scope;
-  auto note = [&scope](ObjectRef obj, SwitchId sw) {
-    auto& v = scope[obj];
-    if (std::find(v.begin(), v.end(), sw) == v.end()) v.push_back(sw);
-  };
   for (const auto& [sw, rules] :
        net.controller().compiled().per_switch) {
+    // A switch's rules are visited together, so an object already noted on
+    // `sw` has it as its last entry. A rule from the same (vrf, pair,
+    // contract, filter) as the previous one names the same objects.
+    const RuleProvenance* prev = nullptr;
     for (const LogicalRule& lr : rules) {
-      if (!lr.prov.contract.valid()) continue;
-      for (const ObjectRef obj : lr.prov.policy_objects()) note(obj, sw);
+      const RuleProvenance& prov = lr.prov;
+      if (!prov.contract.valid()) continue;
+      if (prev != nullptr && prov.vrf == prev->vrf &&
+          prov.pair == prev->pair && prov.contract == prev->contract &&
+          prov.filter == prev->filter) {
+        continue;
+      }
+      prev = &prov;
+      for (const ObjectRef obj : prov.policy_objects()) {
+        auto& v = scope[obj];
+        if (v.empty() || v.back() != sw) v.push_back(sw);
+      }
     }
   }
   return scope;

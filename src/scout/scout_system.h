@@ -131,7 +131,8 @@ class ScoutSystem {
                                 runtime::Executor& executor) const;
 
   // Deployment scope of every policy object (object -> switches), from the
-  // compiled policy; feeds the correlation engine.
+  // compiled rules' provenance; feeds the correlation engine. Linear in the
+  // number of compiled rules; rebuilt on every call, nothing is cached.
   [[nodiscard]] static ObjectScope build_object_scope(const SimNetwork& net);
 
   // Stopgap remediation (paper §III-C): reinstall the report's missing

@@ -106,6 +106,7 @@ TEST(Experiment, ScalabilityPointIsComplete) {
   EXPECT_GT(point.edges, point.elements);
   EXPECT_GE(point.model_build_seconds, 0.0);
   EXPECT_GE(point.localize_seconds, 0.0);
+  EXPECT_GT(point.correlate_seconds, 0.0);
 }
 
 TEST(Experiment, ScalabilityElementsGrowWithSwitches) {

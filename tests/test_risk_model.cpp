@@ -4,7 +4,9 @@
 
 #include <algorithm>
 
+#include "src/common/rng.h"
 #include "src/controller/compiler.h"
+#include "src/workload/policy_generator.h"
 #include "src/workload/three_tier.h"
 
 namespace scout {
@@ -158,6 +160,99 @@ TEST_F(RiskModelFixture, UnknownLookupsThrow) {
                    RiskElement{net.s1, EpgPair{net.app, net.db}}),
                std::out_of_range);
   EXPECT_FALSE(model.has_risk(ObjectRef::of(net.port700)));
+}
+
+// Reference controller model: a pair's objects are interned again for
+// every switch the pair is deployed on, inside the switch loop.
+RiskModel reference_controller_model(const PolicyIndex& index) {
+  RiskModel m = RiskModel::empty(RiskModelKind::kController);
+  for (const EpgPair& pair : index.pairs()) {
+    for (const SwitchId sw : index.switches_of(pair)) {
+      const auto e = m.add_element(RiskElement{sw, pair});
+      for (const ObjectRef obj : index.objects_of(pair)) {
+        m.add_dependency(e, m.add_risk(obj));
+      }
+      m.add_dependency(e, m.add_risk(ObjectRef::of(sw)));
+    }
+  }
+  return m;
+}
+
+void expect_same_structure(const RiskModel& got, const RiskModel& want) {
+  ASSERT_EQ(got.risk_count(), want.risk_count());
+  ASSERT_EQ(got.element_count(), want.element_count());
+  EXPECT_EQ(got.edge_count(), want.edge_count());
+  for (RiskModel::RiskIdx r = 0; r < want.risk_count(); ++r) {
+    ASSERT_EQ(got.risk(r), want.risk(r)) << "risk " << r;
+    const auto a = got.elements_of(r);
+    const auto b = want.elements_of(r);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "risk " << r;
+  }
+  for (RiskModel::ElementIdx e = 0; e < want.element_count(); ++e) {
+    ASSERT_EQ(got.element(e), want.element(e)) << "element " << e;
+    const auto a = got.risks_of(e);
+    const auto b = want.risks_of(e);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+        << "element " << e;
+  }
+}
+
+TEST(RiskModelController, MatchesPerSwitchInterningOnGeneratedFabric) {
+  Rng rng{14};
+  const GeneratedNetwork generated =
+      generate_network(GeneratorProfile::scaled(32), rng);
+  const PolicyIndex index{generated.policy};
+  ASSERT_GT(index.pairs().size(), 100u);
+  const RiskModel model = RiskModel::build_controller_model(index);
+  expect_same_structure(model, reference_controller_model(index));
+}
+
+TEST(RiskModelController, PairOnNoSwitchInternsNoRisk) {
+  Fabric fabric;
+  const SwitchId s1 = fabric.add_switch("S1");
+  const SwitchId s2 = fabric.add_switch("S2");
+  NetworkPolicy policy;
+  const VrfId vrf = policy.add_vrf("VRF", policy.add_tenant("t"));
+  // The ghost pair has no endpoints and is linked first, so its objects
+  // would be numbered first if they were interned at all.
+  const EpgId ghost_a = policy.add_epg("GhostA", vrf);
+  const EpgId ghost_b = policy.add_epg("GhostB", vrf);
+  const EpgId web = policy.add_epg("Web", vrf);
+  const EpgId app = policy.add_epg("App", vrf);
+  policy.add_endpoint("EP1", web, s1);
+  policy.add_endpoint("EP2", app, s2);
+  const FilterId shared = policy.add_filter("p80", {FilterEntry::allow_tcp(80)});
+  const FilterId ghost_only =
+      policy.add_filter("p9000", {FilterEntry::allow_tcp(9000)});
+  const ContractId ghost_contract =
+      policy.add_contract("Ghost", {ghost_only, shared});
+  const ContractId web_app = policy.add_contract("Web-App", {shared});
+  policy.link(ghost_a, ghost_b, ghost_contract);
+  policy.link(web, app, web_app);
+
+  const PolicyIndex index{policy};
+  ASSERT_EQ(index.pairs().size(), 2u);
+  ASSERT_TRUE(index.switches_of(index.pairs()[0]).empty());
+  const RiskModel model = RiskModel::build_controller_model(index);
+  expect_same_structure(model, reference_controller_model(index));
+
+  for (const ObjectRef obj :
+       {ObjectRef::of(ghost_a), ObjectRef::of(ghost_b),
+        ObjectRef::of(ghost_contract), ObjectRef::of(ghost_only)}) {
+    EXPECT_FALSE(model.has_risk(obj)) << obj;
+  }
+  // Web-App's five objects, then its two switches.
+  const auto& objects = index.objects_of(index.pairs()[1]);
+  ASSERT_EQ(objects.size(), 5u);
+  ASSERT_EQ(model.risk_count(), 7u);
+  for (std::size_t i = 0; i < objects.size(); ++i) {
+    EXPECT_EQ(model.risk(static_cast<RiskModel::RiskIdx>(i)), objects[i]);
+  }
+  EXPECT_EQ(model.risk(5), ObjectRef::of(s1));
+  EXPECT_EQ(model.risk(6), ObjectRef::of(s2));
+  EXPECT_EQ(model.element_count(), 2u);
+  EXPECT_EQ(model.edge_count(), 12u);
 }
 
 TEST(RiskModelCustom, HandBuiltGraphBehaves) {

@@ -3,8 +3,11 @@
 // -> correlate.
 #include "src/scout/scout_system.h"
 
+#include <algorithm>
 #include <cstring>
+#include <set>
 #include <thread>
+#include <unordered_map>
 
 #include <gtest/gtest.h>
 
@@ -104,10 +107,67 @@ TEST_F(SystemFixture, RootCauseForUnresponsiveSwitchUseCase) {
 
 TEST_F(SystemFixture, ObjectScopeMapsObjectsToSwitches) {
   const ObjectScope scope = ScoutSystem::build_object_scope(net);
-  const auto& port700_switches = scope.at(ObjectRef::of(three.port700));
-  EXPECT_EQ(port700_switches.size(), 2u);  // S2, S3
-  const auto& vrf_switches = scope.at(ObjectRef::of(three.vrf));
-  EXPECT_EQ(vrf_switches.size(), 3u);
+  // Web-App deploys on {S1, S2}, App-DB on {S2, S3}. Vectors list each
+  // switch once, in the compiled policy's switch order, so compare sorted.
+  const auto switches_of = [&scope](ObjectRef obj) {
+    std::vector<SwitchId> v = scope.at(obj);
+    std::sort(v.begin(), v.end());
+    return v;
+  };
+  const std::vector<SwitchId> all{three.s1, three.s2, three.s3};
+  const std::vector<SwitchId> web_app{three.s1, three.s2};
+  const std::vector<SwitchId> app_db{three.s2, three.s3};
+  EXPECT_EQ(scope.size(), 8u);
+  EXPECT_EQ(switches_of(ObjectRef::of(three.vrf)), all);
+  EXPECT_EQ(switches_of(ObjectRef::of(three.web)), web_app);
+  EXPECT_EQ(switches_of(ObjectRef::of(three.app)), all);
+  EXPECT_EQ(switches_of(ObjectRef::of(three.db)), app_db);
+  EXPECT_EQ(switches_of(ObjectRef::of(three.web_app)), web_app);
+  EXPECT_EQ(switches_of(ObjectRef::of(three.app_db)), app_db);
+  EXPECT_EQ(switches_of(ObjectRef::of(three.port80)), all);
+  EXPECT_EQ(switches_of(ObjectRef::of(three.port700)), app_db);
+}
+
+TEST(ObjectScope, MatchesPerObjectSwitchSetsOnGeneratedFabric) {
+  Rng rng{14};
+  GeneratedNetwork generated =
+      generate_network(GeneratorProfile::scaled(32), rng);
+  SimNetwork sim{std::move(generated.fabric), std::move(generated.policy)};
+  sim.deploy();
+
+  // Reference: every provenance object of every compiled rule, one set of
+  // switches per object.
+  const auto& per_switch = sim.controller().compiled().per_switch;
+  std::unordered_map<ObjectRef, std::set<SwitchId>> reference;
+  std::unordered_map<SwitchId, std::size_t> visit_order;
+  for (const auto& [sw, rules] : per_switch) {
+    visit_order.emplace(sw, visit_order.size());
+    for (const LogicalRule& lr : rules) {
+      if (!lr.prov.contract.valid()) continue;
+      for (const ObjectRef obj : lr.prov.policy_objects()) {
+        reference[obj].insert(sw);
+      }
+    }
+  }
+  ASSERT_GT(per_switch.size(), 16u);
+
+  const ObjectScope scope = ScoutSystem::build_object_scope(sim);
+  ASSERT_EQ(scope.size(), reference.size());
+  std::size_t spanning = 0;
+  for (const auto& [obj, switches] : scope) {
+    const auto it = reference.find(obj);
+    ASSERT_NE(it, reference.end()) << obj;
+    const std::set<SwitchId> as_set(switches.begin(), switches.end());
+    EXPECT_EQ(as_set, it->second) << obj;
+    EXPECT_EQ(switches.size(), as_set.size()) << obj << " has duplicates";
+    // Switches appear in the order the compiled policy is visited.
+    for (std::size_t i = 1; i < switches.size(); ++i) {
+      EXPECT_LT(visit_order.at(switches[i - 1]), visit_order.at(switches[i]))
+          << obj;
+    }
+    if (switches.size() > 1) ++spanning;
+  }
+  EXPECT_GT(spanning, 0u);
 }
 
 TEST_F(SystemFixture, SyntacticAndBddModesAgreeOnGeneratedPolicy) {
